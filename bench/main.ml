@@ -30,6 +30,9 @@
    delivery, batches formed, restarts = crashes with bounded
    recovery).
 
+   Unknown sections or options, and non-integer values for the integer
+   options, print the usage line and exit 2.
+
    The schedule explorer is a checker, not a benchmark, and never runs
    under "all" — ask for it by name:
 
@@ -485,11 +488,6 @@ let envelope_burst ~feature ~rounds ~burst ~domains ~source () =
     done
   done;
   let st = Engine.stats m in
-  let batches =
-    match Engine.coalesce_stats m with
-    | Some s -> s.Machine.Coalesce.s_batches
-    | None -> 0
-  in
   let audit =
     match mgr with Some g -> Recover.Manager.audit_quiescent g | None -> []
   in
@@ -510,7 +508,7 @@ let envelope_burst ~feature ~rounds ~burst ~domains ~source () =
     e_in_flight = Engine.reliable_in_flight m;
     e_retransmits = Simcore.Stats.get st "reliable.retransmit";
     e_drops = Engine.packets_dropped m;
-    e_batches = batches;
+    e_batches = Simcore.Stats.get st "coalesce.batch";
     e_restarts = Simcore.Stats.get st "recover.restarts";
     e_crashes = List.length crashes;
     e_recovery_max = recovery_max;
@@ -624,17 +622,12 @@ let faults ~smoke ~domains () =
       let r, sys = run_plan plan in
       if rate = 0.0 then base := r.Apps.Nqueens_par.elapsed;
       let clean = Diagnostics.is_clean (Diagnostics.survey sys) in
-      let drops, dups, rexmit, dupdis, acks =
-        match Services.Faultstats.survey sys with
-        | None -> (0, 0, 0, 0, 0)
-        | Some f ->
-            Services.Faultstats.
-              ( f.total_drops,
-                f.total_dups,
-                f.total_retransmits,
-                f.total_dup_discards,
-                f.total_acks )
-      in
+      let m = System.machine sys and get = Simcore.Stats.get (System.stats sys) in
+      let drops = Machine.Engine.packets_dropped m
+      and dups = Machine.Engine.packets_duplicated m
+      and rexmit = get "reliable.retransmit" + get "reliable.fast_retransmit"
+      and dupdis = get "reliable.dup_discard"
+      and acks = get "reliable.ack" in
       Format.printf "%5.0f%% %10d %12.2f %8.2fx %8d %6d %8d %6d %8d %6s@."
         (100. *. rate) r.Apps.Nqueens_par.solutions
         (Simcore.Time.to_ms r.elapsed)
@@ -667,9 +660,12 @@ let faults ~smoke ~domains () =
     r.Apps.Nqueens_par.solutions
     (Simcore.Time.to_ms r.elapsed)
     (if clean then "clean" else "DIRTY");
-  (match Services.Faultstats.survey sys with
-  | Some f -> Format.printf "%a@." Services.Faultstats.pp f
-  | None -> ());
+  Format.printf "%d dropped (%d in the down window), %d duplicated@.%a@."
+    (Machine.Engine.packets_dropped (System.machine sys))
+    (Machine.Engine.crash_dropped (System.machine sys))
+    (Machine.Engine.packets_duplicated (System.machine sys))
+    (Simcore.Stats.pp_layer ~prefix:"reliable.")
+    (System.stats sys);
   Format.printf
     "chunk-stall wait while partitioned: %d ns total@."
     (Simcore.Stats.get (System.stats sys) "chunk.stall.wait_ns");
@@ -682,7 +678,6 @@ let faults ~smoke ~domains () =
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
-         ("domains", Int domains);
          ("drop_max_pct", Float (100. *. List.fold_left Float.max 0. rates));
          ("slowdown_at_max_drop", Float !j_slowdown);
          ("drops", Int !j_drops);
@@ -1007,9 +1002,7 @@ let dgc_bench ~smoke () =
     "with dgc:    %6d create/drop cycles, live set %4d -> resident %6d \
      record(s); %d reclaimed, %d restocked, %d slot(s) recycled@."
     cycles live resident (Dgc.reclaimed g) (Dgc.restocked g) recycled;
-  (match Services.Gcstats.survey sys with
-  | Some r -> Format.printf "%a@." Services.Gcstats.pp r
-  | None -> ());
+  Format.printf "%a@." (Simcore.Stats.pp_layer ~prefix:"dgc.") (System.stats sys);
 
   (* Recycling off: same workload, collector never attached — memory
      can only grow. Probe events at fractions of the managed run's
@@ -1087,17 +1080,12 @@ let dgc_bench ~smoke () =
     stubs_left := !stubs_left + Migrate.stub_count m ~node
   done;
   let live_stubs_in_report =
-    match Services.Migstats.survey sys with
-    | Some r ->
-        Array.fold_left
-          (fun acc (row : Services.Migstats.node_row) ->
-            acc + row.Services.Migstats.stubs)
-          0 r.Services.Migstats.per_node
-    | None -> -1
+    List.fold_left (fun acc (_, k) -> acc + k) 0
+      (Diagnostics.survey sys).Diagnostics.forwarding_stubs
   in
   Format.printf
     "%d cell(s) spawned, %d migrated, then dropped: %d recall(s), %d \
-     unstub(s), %d forwarding stub(s) left (migstats sees %d)@."
+     unstub(s), %d forwarding stub(s) left (diagnostics sees %d)@."
     cells !moved (Dgc.recalls g) (Dgc.unstubs g) !stubs_left
     live_stubs_in_report;
   if !stubs_left <> 0 || live_stubs_in_report <> 0 then begin
@@ -1216,16 +1204,9 @@ let coalesce_bench ~smoke ~domains () =
   end;
   let p_off = Machine.Engine.packets_sent m_off
   and p_on = Machine.Engine.packets_sent m_on in
-  (match Machine.Engine.coalesce_stats m_on with
-  | Some s ->
-      Format.printf
-        "flush causes: size %d idle %d deadline %d ack %d credit %d; frames \
-         per batch %a@."
-        s.Machine.Coalesce.s_flush_size s.Machine.Coalesce.s_flush_idle
-        s.Machine.Coalesce.s_flush_deadline s.Machine.Coalesce.s_flush_ack
-        s.Machine.Coalesce.s_flush_credit Simcore.Histogram.pp
-        s.Machine.Coalesce.s_occupancy
-  | None -> ());
+  Format.printf "%a@."
+    (Simcore.Stats.pp_layer ~prefix:"coalesce.")
+    (Machine.Engine.stats m_on);
   Format.printf
     "packet reduction %.1fx (gate: >= 2x), mean latency %.0f -> %.0f ns \
      (gate: lower)@."
@@ -1249,11 +1230,9 @@ let coalesce_bench ~smoke ~domains () =
       ~burst
   in
   note_machine_events m_f;
-  let rel = Option.get (Machine.Engine.reliable m_f) in
-  let acks_piggy = ref 0 in
-  for node = 0 to Machine.Engine.node_count m_f - 1 do
-    acks_piggy := !acks_piggy + Machine.Reliable.node_acks_piggybacked rel node
-  done;
+  let acks_piggy =
+    Simcore.Stats.get (Machine.Engine.stats m_f) "reliable.ack_piggybacked"
+  in
   Format.printf
     "with 5%% drop: %6d msgs %8d packet(s), mean latency %8.0f ns, %d \
      dropped, %d ack(s) piggybacked on batches, in flight %d@."
@@ -1261,7 +1240,7 @@ let coalesce_bench ~smoke ~domains () =
     (Machine.Engine.packets_sent m_f)
     lat_f
     (Machine.Engine.packets_dropped m_f)
-    !acks_piggy
+    acks_piggy
     (Machine.Engine.reliable_in_flight m_f);
   if n_f <> expected || Machine.Engine.reliable_in_flight m_f <> 0 then begin
     Format.printf "FAILED exactly-once-under-faults gate@.";
@@ -1307,7 +1286,6 @@ let coalesce_bench ~smoke ~domains () =
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
-         ("domains", Int domains);
          ("messages", Int expected);
          ("packets_off", Int p_off);
          ("packets_on", Int p_on);
@@ -1317,7 +1295,7 @@ let coalesce_bench ~smoke ~domains () =
          ("mean_latency_on_ns", Float lat_on);
          ("faulted_packets", Int (Machine.Engine.packets_sent m_f));
          ("faulted_dropped", Int (Machine.Engine.packets_dropped m_f));
-         ("acks_piggybacked", Int !acks_piggy);
+         ("acks_piggybacked", Int acks_piggy);
          ("table1_dormant_dev_pct", Float d_dorm);
          ("table1_inter_dev_pct", Float d_inter);
        ]
@@ -1442,8 +1420,10 @@ let recover_bench ~smoke ~domains () =
   let m, tl, mgr, lost, dup, max_gap = recover_burst ~rounds ~burst ~crashes () in
   note_machine_events m;
   let audit = Recover.Manager.audit_quiescent mgr in
-  let report = Option.get (Services.Recoverstats.survey_machine m) in
-  Format.printf "%a@." Services.Recoverstats.pp report;
+  let get = Simcore.Stats.get (Engine.stats m) in
+  Format.printf "%a@.%d packet(s) lost to down windows@."
+    (Simcore.Stats.pp_layer ~prefix:"recover.")
+    (Engine.stats m) (Engine.crash_dropped m);
   let crashed = List.map (fun cs -> cs.Recover.Manager.cs_node) crashes in
   let outage =
     List.fold_left (fun acc i -> max acc max_gap.(i)) 0 crashed
@@ -1476,7 +1456,7 @@ let recover_bench ~smoke ~domains () =
     Format.printf "FAILED recovery-audit gate@.";
     exit 1
   end;
-  if report.Services.Recoverstats.restarts <> List.length crashes then begin
+  if get "recover.restarts" <> List.length crashes then begin
     Format.printf "FAILED restart-count gate@.";
     exit 1
   end;
@@ -1703,13 +1683,10 @@ let recover_bench ~smoke ~domains () =
     \  \"events_per_sec\": %.3f,\n\
     \  \"domains\": %d\n\
      }\n"
-    smoke report.Services.Recoverstats.crashes
-    report.Services.Recoverstats.restarts
-    report.Services.Recoverstats.checkpoints
-    report.Services.Recoverstats.checkpoint_bytes
-    report.Services.Recoverstats.replayed
-    report.Services.Recoverstats.inbox_rebuilt recovery_max
-    report.Services.Recoverstats.recovery_ns outage baseline lost dup
+    smoke (get "recover.crashes") (get "recover.restarts") (get "recover.ckpts")
+    (get "recover.ckpt_bytes") (get "recover.replayed")
+    (get "recover.inbox_rebuilt") recovery_max (get "recover.recovery_ns")
+    outage baseline lost dup
     (Services.Timeline.hash tl) identical
     (match env_hash with
     | Some h -> Printf.sprintf "%016x" h
@@ -2566,43 +2543,63 @@ let bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Pull "[key] [value]" option pairs out of the raw argument list,
-   returning the value and the remaining arguments. *)
-let extract_opt key args =
-  let rec go = function
-    | [] -> (None, [])
-    | k :: v :: rest when k = key -> (Some v, rest)
-    | x :: rest ->
-        let r, rest' = go rest in
-        (r, x :: rest')
+let section_names =
+  [ "table1"; "table2"; "table3"; "table4"; "fig5"; "fig6"; "ablations"; "faults";
+    "migrate"; "dgc"; "coalesce"; "recover"; "traffic"; "multiactive"; "parallel";
+    "bechamel"; "all"; "explore" ]
+
+let int_options = [ "--schedules"; "--seed"; "--requests"; "--domains" ]
+let string_options = [ "--workload"; "--replay"; "--out"; "--baseline" ]
+
+let usage =
+  "usage: main.exe [SECTION...] [--full] [--smoke] [--domains D] [--requests N] \
+   [--baseline FILE] [--schedules N] [--seed N] [--workload NAME] [--out DIR] \
+   [--replay FILE]\nsections: " ^ String.concat " " section_names
+
+(* A misspelt section or flag would otherwise run nothing and exit 0. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("main.exe: " ^ msg);
+      prerr_endline usage;
+      exit 2)
+    fmt
+
+(* Returns the option values (latest wins), the bare flags and the
+   sections, in order. *)
+let parse_args args =
+  let rec go opts flags sections = function
+    | [] -> (opts, flags, List.rev sections)
+    | k :: rest when List.mem k int_options || List.mem k string_options -> (
+        match rest with
+        | v :: rest ->
+            if List.mem k int_options && int_of_string_opt v = None then
+              usage_error "%s takes an integer, not %S" k v;
+            go ((k, v) :: opts) flags sections rest
+        | [] -> usage_error "%s needs a value" k)
+    | (("--full" | "--smoke") as f) :: rest -> go opts (f :: flags) sections rest
+    | a :: _ when String.starts_with ~prefix:"-" a -> usage_error "unknown option %s" a
+    | s :: rest when List.mem s section_names -> go opts flags (s :: sections) rest
+    | s :: _ -> usage_error "unknown section %s" s
   in
-  go args
+  go [] [] [] args
 
 let () =
   Format.set_margin 200;
-  let args = Array.to_list Sys.argv |> List.tl in
-  let schedules, args = extract_opt "--schedules" args in
-  let seed, args = extract_opt "--seed" args in
-  let workload, args = extract_opt "--workload" args in
-  let replay, args = extract_opt "--replay" args in
-  let out_dir, args = extract_opt "--out" args in
-  let baseline, args = extract_opt "--baseline" args in
-  let requests_opt, args = extract_opt "--requests" args in
-  let domains_opt, args = extract_opt "--domains" args in
-  let requests_opt = Option.map int_of_string requests_opt in
-  let domains = match domains_opt with Some d -> int_of_string d | None -> 1 in
-  let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let sections = List.filter (fun a -> a <> "--full" && a <> "--smoke") args in
+  let opts, flags, sections = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let opt k = List.assoc_opt k opts in
+  let int_opt k = Option.map int_of_string (opt k) in
+  let baseline = opt "--baseline" and requests_opt = int_opt "--requests" in
+  let domains = Option.value (int_opt "--domains") ~default:1 in
+  let full = List.mem "--full" flags and smoke = List.mem "--smoke" flags in
   let sections = if sections = [] then [ "all" ] else sections in
   let want s = List.mem s sections || List.mem "all" sections in
   (* The explorer is a checker, not a benchmark: it only runs when asked
      for by name (never under "all"). *)
   if List.mem "explore" sections then
-    explore ~smoke
-      ~schedules:(Option.map int_of_string schedules)
-      ~seed:(match seed with Some s -> int_of_string s | None -> 1)
-      ~workload ~replay ~out_dir ();
+    explore ~smoke ~schedules:(int_opt "--schedules")
+      ~seed:(Option.value (int_opt "--seed") ~default:1)
+      ~workload:(opt "--workload") ~replay:(opt "--replay") ~out_dir:(opt "--out") ();
   if want "table1" then table1 ();
   if want "table2" then table2 ();
   if want "table3" then table3 ();

@@ -14,14 +14,8 @@ type report = {
   stock_low_water : int;
   in_flight : int;
   packets_dropped : int;
-  batches_sent : int;
   coalesce_buffered : int;
-  crashes : int;
-  checkpoint_bytes : int;
-  log_replayed : int;
-  recovery_ns : int;
   forwarding_stubs : (int * int) list;
-  forwarded_hops : (int * int) list;
 }
 
 let reason_string = function
@@ -60,7 +54,7 @@ let survey sys =
   let machine = System.machine sys in
   let stats = Machine.Engine.stats machine in
   let blocked = ref [] and buffered = ref [] and chunk_waiters = ref 0 in
-  let stubs = ref [] and hops = ref [] in
+  let stubs = ref [] in
   let low_water = ref max_int in
   for node = 0 to System.node_count sys - 1 do
     let rt = System.rt sys node in
@@ -81,11 +75,7 @@ let survey sys =
             else if (not (Queue.is_empty obj.mq)) && not obj.in_sched_q then
               buffered := stuck_of_obj obj :: !buffered)
       rt.Kernel.objects;
-    if !node_stubs > 0 then stubs := (node, !node_stubs) :: !stubs;
-    let h =
-      Simcore.Stats.get stats (Printf.sprintf "migrate.forward.node%d" node)
-    in
-    if h > 0 then hops := (node, h) :: !hops
+    if !node_stubs > 0 then stubs := (node, !node_stubs) :: !stubs
   done;
   {
     blocked = List.sort by_addr !blocked;
@@ -95,14 +85,8 @@ let survey sys =
     stock_low_water = (if !low_water = max_int then 0 else !low_water);
     in_flight = Machine.Engine.reliable_in_flight machine;
     packets_dropped = Machine.Engine.packets_dropped machine;
-    batches_sent = Simcore.Stats.get stats "coalesce.batch";
     coalesce_buffered = Machine.Engine.coalesce_buffered machine;
-    crashes = Simcore.Stats.get stats "recover.crashes";
-    checkpoint_bytes = Simcore.Stats.get stats "recover.ckpt_bytes";
-    log_replayed = Simcore.Stats.get stats "recover.replayed";
-    recovery_ns = Simcore.Stats.get stats "recover.recovery_ns";
     forwarding_stubs = List.rev !stubs;
-    forwarded_hops = List.rev !hops;
   }
 
 let is_clean r =
@@ -124,21 +108,7 @@ let pp_migration ppf r =
       (String.concat ", "
          (List.map
             (fun (n, c) -> Printf.sprintf "node %d: %d" n c)
-            r.forwarding_stubs));
-  if r.forwarded_hops <> [] then
-    Format.fprintf ppf "@,forwarded hops: %s"
-      (String.concat ", "
-         (List.map
-            (fun (n, c) -> Printf.sprintf "node %d: %d" n c)
-            r.forwarded_hops));
-  if r.batches_sent > 0 then
-    Format.fprintf ppf "@,aggregated batches: %d" r.batches_sent;
-  if r.crashes > 0 then
-    Format.fprintf ppf
-      "@,crash recovery: %d crash(es), %d checkpoint bytes, %d message(s) \
-       replayed, %a recovering"
-      r.crashes r.checkpoint_bytes r.log_replayed Simcore.Time.pp
-      r.recovery_ns
+            r.forwarding_stubs))
 
 let pp ppf r =
   if is_clean r then begin

@@ -32,33 +32,14 @@ type report = {
   packets_dropped : int;
       (** packets the fault layer destroyed during the run (these were
           all repaired by retransmission iff [in_flight] is 0) *)
-  batches_sent : int;
-      (** aggregated multi-frame packets shipped over the run (the
-          "coalesce.batch" counter; 0 with coalescing off) *)
   coalesce_buffered : int;
       (** messages still sitting in open aggregation buffers at survey
           time — nonzero at quiescence means a flush trigger never
           fired, and counts against {!is_clean} *)
-  crashes : int;
-      (** node crashes injected over the run (the "recover.crashes"
-          counter; 0 without a recovery manager) *)
-  checkpoint_bytes : int;
-      (** checkpoint volume written to the stable stores
-          ("recover.ckpt_bytes") *)
-  log_replayed : int;
-      (** messages re-dispatched from delivery logs during recoveries
-          ("recover.replayed") *)
-  recovery_ns : int;
-      (** total simulated wall-clock spent restoring and replaying
-          ("recover.recovery_ns") *)
   forwarding_stubs : (int * int) list;
       (** (node, live forwarding stubs) — objects that migrated away and
           left a re-posting VFT behind. Healthy residue, not counted
           against {!is_clean}; nonzero entries only. *)
-  forwarded_hops : (int * int) list;
-      (** (node, messages re-posted by stubs on that node) over the run —
-          from the "migrate.forward.node<i>" counters. Chain-compression
-          checks assert this stays near the migration count. *)
 }
 
 val survey : System.t -> report

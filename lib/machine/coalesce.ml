@@ -29,7 +29,11 @@
    singles) may be outstanding — flushed but not yet landed — per
    destination, so one hot channel cannot monopolise the injection port
    while others starve. A blocked flush parks ([starved]) and fires on
-   the next credit return. *)
+   the next credit return.
+
+   Counts go to the machine's stats registry: coalesce.batch,
+   coalesce.single, coalesce.rider, and the coalesce.occupancy
+   histogram of frames per batch. *)
 
 type config = {
   max_batch_bytes : int;
@@ -46,15 +50,6 @@ let default_config =
     credits = 4;
   }
 
-type cause = Size | Idle | Deadline | Ack | Credit
-
-let cause_name = function
-  | Size -> "size"
-  | Idle -> "idle"
-  | Deadline -> "deadline"
-  | Ack -> "ack"
-  | Credit -> "credit"
-
 type 'a chan = {
   mutable buf : 'a list;  (** newest first; reversed on take *)
   mutable frames : int;
@@ -67,45 +62,21 @@ type 'a chan = {
   mutable listed : bool;  (** dst present in the per-src open list *)
 }
 
-(* Every counter below is per source node: a channel (and its buffer)
-   belongs to the sending node, so in a parallel run each array slot has
-   a single writing domain and the totals are summed on read. *)
+(* The per-source arrays belong to the sending node: in a parallel run
+   each slot has a single writing domain. *)
 type 'a t = {
   cfg : config;
   nodes : int;
   chans : 'a chan array;  (** indexed by src * nodes + dst, preallocated *)
   open_dsts_by_src : int list array;  (** dsts with (possibly) open buffers *)
   buffered_by_src : int array;
-  (* statistics *)
-  frames_by_src : int array;  (** frames shipped inside batches *)
-  riders_by_src : int array;  (** piggybacked control AMs appended at flush *)
-  flush_size_by_src : int array;
-  flush_idle_by_src : int array;
-  flush_deadline_by_src : int array;
-  flush_ack_by_src : int array;
-  flush_credit_by_src : int array;
-  occupancy_by_src : Simcore.Histogram.t array;  (** frames per batch *)
-  node_batches : int array;
-  node_singles : int array;
+  c_batch : Simcore.Stats.cell;
+  c_single : Simcore.Stats.cell;
+  c_rider : Simcore.Stats.cell;
+  h_occupancy : Simcore.Stats.hist;  (** frames per batch *)
 }
 
-type stats = {
-  s_batches : int;
-  s_singles : int;
-  s_frames : int;
-  s_riders : int;
-  s_flush_size : int;
-  s_flush_idle : int;
-  s_flush_deadline : int;
-  s_flush_ack : int;
-  s_flush_credit : int;
-  s_buffered : int;
-  s_occupancy : Simcore.Histogram.t;
-  s_node_batches : int array;
-  s_node_singles : int array;
-}
-
-let create ?(config = default_config) ~nodes () =
+let create ?(config = default_config) ~stats ~nodes () =
   if config.max_batch_frames < 2 then
     invalid_arg "Coalesce.create: max_batch_frames must be >= 2";
   if config.max_batch_bytes < 16 then
@@ -131,17 +102,10 @@ let create ?(config = default_config) ~nodes () =
           });
     open_dsts_by_src = Array.make nodes [];
     buffered_by_src = Array.make nodes 0;
-    frames_by_src = Array.make nodes 0;
-    riders_by_src = Array.make nodes 0;
-    flush_size_by_src = Array.make nodes 0;
-    flush_idle_by_src = Array.make nodes 0;
-    flush_deadline_by_src = Array.make nodes 0;
-    flush_ack_by_src = Array.make nodes 0;
-    flush_credit_by_src = Array.make nodes 0;
-    occupancy_by_src =
-      Array.init nodes (fun _ -> Simcore.Histogram.create ~bucket_width:2 ());
-    node_batches = Array.make nodes 0;
-    node_singles = Array.make nodes 0;
+    c_batch = Simcore.Stats.counter stats "coalesce.batch";
+    c_single = Simcore.Stats.counter stats "coalesce.single";
+    c_rider = Simcore.Stats.counter stats "coalesce.rider";
+    h_occupancy = Simcore.Stats.histogram ~bucket_width:2 stats "coalesce.occupancy";
   }
 
 let config t = t.cfg
@@ -156,7 +120,7 @@ let offer t ~src ~dst ~now ~bytes ~port_free item : verdict =
        delay this frame. Send it alone, exactly as the unbatched build
        would (the caller uses the plain single-frame path). *)
     ch.credit <- ch.credit - 1;
-    t.node_singles.(src) <- t.node_singles.(src) + 1;
+    Simcore.Stats.bump t.c_single;
     `Bypass
   end
   else begin
@@ -200,18 +164,10 @@ let take t ~src ~dst =
     Some (items, bytes, newest)
   end
 
-let note_batch t ~src ~frames ~riders ~cause =
-  t.node_batches.(src) <- t.node_batches.(src) + 1;
-  t.frames_by_src.(src) <- t.frames_by_src.(src) + frames;
-  t.riders_by_src.(src) <- t.riders_by_src.(src) + riders;
-  Simcore.Histogram.observe t.occupancy_by_src.(src) frames;
-  let bump a = a.(src) <- a.(src) + 1 in
-  match cause with
-  | Size -> bump t.flush_size_by_src
-  | Idle -> bump t.flush_idle_by_src
-  | Deadline -> bump t.flush_deadline_by_src
-  | Ack -> bump t.flush_ack_by_src
-  | Credit -> bump t.flush_credit_by_src
+let note_batch t ~frames ~riders =
+  Simcore.Stats.bump t.c_batch;
+  Simcore.Stats.bump_n t.c_rider riders;
+  Simcore.Stats.observe t.h_occupancy frames
 
 let deadline_check t ~src ~dst ~now =
   let ch = chan_of t ~src ~dst in
@@ -277,25 +233,3 @@ let reset_src t ~src =
     ch.starved <- false;
     ch.listed <- false
   done
-
-let stats t =
-  let sum = Array.fold_left ( + ) 0 in
-  let occupancy = Simcore.Histogram.create ~bucket_width:2 () in
-  Array.iter
-    (fun h -> Simcore.Histogram.merge_into ~into:occupancy h)
-    t.occupancy_by_src;
-  {
-    s_batches = sum t.node_batches;
-    s_singles = sum t.node_singles;
-    s_frames = sum t.frames_by_src;
-    s_riders = sum t.riders_by_src;
-    s_flush_size = sum t.flush_size_by_src;
-    s_flush_idle = sum t.flush_idle_by_src;
-    s_flush_deadline = sum t.flush_deadline_by_src;
-    s_flush_ack = sum t.flush_ack_by_src;
-    s_flush_credit = sum t.flush_credit_by_src;
-    s_buffered = sum t.buffered_by_src;
-    s_occupancy = occupancy;
-    s_node_batches = Array.copy t.node_batches;
-    s_node_singles = Array.copy t.node_singles;
-  }

@@ -29,13 +29,13 @@ val default_config : config
 
 type 'a t
 
-val create : ?config:config -> nodes:int -> unit -> 'a t
+val create : ?config:config -> stats:Simcore.Stats.t -> nodes:int -> unit -> 'a t
+(** Registers the layer's cells in [stats]: counters [coalesce.batch]
+    (multi-frame packets shipped), [coalesce.single] (bypass sends) and
+    [coalesce.rider] (piggybacked control AMs appended at flush), and
+    the histogram [coalesce.occupancy] of frames per batch. *)
+
 val config : 'a t -> config
-
-(** Why a buffer was flushed (recorded per flush for diagnostics). *)
-type cause = Size | Idle | Deadline | Ack | Credit
-
-val cause_name : cause -> string
 
 type verdict =
   [ `Bypass  (** send alone now: empty buffer, idle port, credit held *)
@@ -67,10 +67,9 @@ val take :
     marked starved and {!credit_return} will answer [`Flush] when a
     credit comes back. *)
 
-val note_batch : 'a t -> src:int -> frames:int -> riders:int -> cause:cause -> unit
-(** Records a shipped batch: [frames] total frames on the wire (buffer
-    contents plus piggybacked riders), [riders] of which were appended
-    by the flush-time piggyback hook. *)
+val note_batch : 'a t -> frames:int -> riders:int -> unit
+(** Records a shipped batch: [frames] total frames on the wire, and the
+    [riders] the flush-time piggyback hook handed to it. *)
 
 val deadline_check :
   'a t -> src:int -> dst:int -> now:Simcore.Time.t ->
@@ -100,23 +99,3 @@ val reset_src : 'a t -> src:int -> unit
     retransmission path re-sends them; on a perfect network this would
     lose messages, so only the recovery manager (which requires a fault
     plan) calls it. *)
-
-(** {2 Statistics} *)
-
-type stats = {
-  s_batches : int;  (** multi-frame packets shipped *)
-  s_singles : int;  (** bypass sends *)
-  s_frames : int;  (** frames shipped inside batches *)
-  s_riders : int;  (** piggybacked control AMs appended at flush *)
-  s_flush_size : int;
-  s_flush_idle : int;
-  s_flush_deadline : int;
-  s_flush_ack : int;
-  s_flush_credit : int;
-  s_buffered : int;
-  s_occupancy : Simcore.Histogram.t;  (** frames per batch *)
-  s_node_batches : int array;
-  s_node_singles : int array;
-}
-
-val stats : 'a t -> stats

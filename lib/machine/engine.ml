@@ -103,12 +103,6 @@ and t = {
   node_crashes : int array;
   c_drop : Simcore.Stats.cell;
   c_dup : Simcore.Stats.cell;
-  c_retransmit : Simcore.Stats.cell;
-  c_dup_discard : Simcore.Stats.cell;
-  c_ack : Simcore.Stats.cell;
-  c_co_batch : Simcore.Stats.cell;
-  c_co_single : Simcore.Stats.cell;
-  c_co_rider : Simcore.Stats.cell;
   c_down_drop : Simcore.Stats.cell;
   c_post_refused : Simcore.Stats.cell;
 }
@@ -230,15 +224,15 @@ let create ?(config = default_config) ~nodes:n () =
     observer = None;
     rel =
       (match faults with
-      | Some _ -> Some (Reliable.create ~config:config.reliable ~nodes:n ())
+      | Some _ -> Some (Reliable.create ~config:config.reliable ~stats ~nodes:n ())
       | None -> None);
     co =
       (match config.coalesce with
       | None -> None
       | Some c -> (
           match faults with
-          | Some _ -> Some (Co_framed (Coalesce.create ~config:c ~nodes:n ()))
-          | None -> Some (Co_data (Coalesce.create ~config:c ~nodes:n ()))));
+          | Some _ -> Some (Co_framed (Coalesce.create ~config:c ~stats ~nodes:n ()))
+          | None -> Some (Co_data (Coalesce.create ~config:c ~stats ~nodes:n ()))));
     piggyback = None;
     decision = None;
     node_decision = None;
@@ -252,12 +246,6 @@ let create ?(config = default_config) ~nodes:n () =
     node_crashes = Array.make n 0;
     c_drop = Simcore.Stats.counter stats "fault.drop";
     c_dup = Simcore.Stats.counter stats "fault.dup";
-    c_retransmit = Simcore.Stats.counter stats "reliable.retransmit";
-    c_dup_discard = Simcore.Stats.counter stats "reliable.dup_discard";
-    c_ack = Simcore.Stats.counter stats "reliable.ack";
-    c_co_batch = Simcore.Stats.counter stats "coalesce.batch";
-    c_co_single = Simcore.Stats.counter stats "coalesce.single";
-    c_co_rider = Simcore.Stats.counter stats "coalesce.rider";
     c_down_drop = Simcore.Stats.counter stats "recover.dropped_while_down";
     c_post_refused = Simcore.Stats.counter stats "recover.posts_refused";
   }
@@ -288,12 +276,6 @@ let coalesce_buffered t =
   | Some (Co_data c) -> Coalesce.buffered c
   | Some (Co_framed c) -> Coalesce.buffered c
   | None -> 0
-
-let coalesce_stats t =
-  match t.co with
-  | Some (Co_data c) -> Some (Coalesce.stats c)
-  | Some (Co_framed c) -> Some (Coalesce.stats c)
-  | None -> None
 
 let set_piggyback_source t hook = t.piggyback <- hook
 let set_decision_source t hook = t.decision <- hook
@@ -342,15 +324,17 @@ let now_cur t =
    canonical stamp (time, producing node, per-node seq) and replays the
    merged order into the observer at the end; the stamp is a total order
    (per-node seqs never collide) and count-invariant (each node's
-   emission order is), so the Timeline hash is too. *)
+   emission order is), so the Timeline hash is too. With no observer
+   attached nothing is stamped or kept. *)
 let emit_obs t ~time ~node obs =
-  match t.par with
-  | Some p when p.p_running ->
+  match (t.observer, t.par) with
+  | None, _ -> ()
+  | Some _, Some p when p.p_running ->
       let d = Simcore.Domain_ctx.current () in
       let s = p.p_obs_seq.(node) in
       p.p_obs_seq.(node) <- s + 1;
       p.p_obs.(d) <- (time, node, s, obs) :: p.p_obs.(d)
-  | _ -> ( match t.observer with Some f -> f obs | None -> ())
+  | Some f, _ -> f obs
 
 let quiescent t =
   Array.for_all Node.is_idle t.nodes
@@ -367,10 +351,7 @@ let schedule_on t ~node ~time fn =
 
 let packets_dropped t = Network.Fabric.packets_dropped t.fabric
 let packets_duplicated t = Network.Fabric.packets_duplicated t.fabric
-let dropped_by_src t src = Network.Fabric.dropped_by_src t.fabric src
-let duplicated_by_src t src = Network.Fabric.duplicated_by_src t.fabric src
 let crash_dropped t = Network.Fabric.crash_dropped t.fabric
-let crash_dropped_by_node t i = Network.Fabric.crash_dropped_by_node t.fabric i
 
 let charge t n instructions =
   Node.charge_ns n (Cost_model.time t.config.cost instructions)
@@ -503,7 +484,7 @@ let rel_send t rel ~src ~dst am =
   let now = Node.now t.nodes.(src) in
   (match Reliable.push rel ~src ~dst ~now am with
   | `Send frame -> ignore (transmit_frame t ~control:false ~now ~src ~dst frame)
-  | `Queued -> Simcore.Stats.incr t.stats "reliable.backlogged");
+  | `Queued -> ());
   arm_rel_tick t rel ~src ~dst ~now
 
 (* --- per-destination aggregation (config.coalesce) --- *)
@@ -546,21 +527,13 @@ let collect_riders t ~src ~dst =
   | Some hook ->
       let riders = hook ~src ~dst in
       List.iter
-        (fun (am : Am.t) ->
-          Simcore.Stats.bump (handler t am.Am.handler).h_sent;
-          Simcore.Stats.bump t.c_co_rider)
+        (fun (am : Am.t) -> Simcore.Stats.bump (handler t am.Am.handler).h_sent)
         riders;
       riders
 
-let note_batch t co ~src ~frames ~riders ~cause =
-  Simcore.Stats.bump t.c_co_batch;
-  match co with
-  | Co_data c -> Coalesce.note_batch c ~src ~frames ~riders ~cause
-  | Co_framed c -> Coalesce.note_batch c ~src ~frames ~riders ~cause
-
 (* Flush the open (src, dst) buffer of a fault-free machine: one packet,
    per-frame staggered delivery straight into the destination inbox. *)
-let flush_data t co ~src ~dst ~now ~cause =
+let flush_data t co ~src ~dst ~now =
   match Coalesce.take co ~src ~dst with
   | None -> ()
   | Some (ams, bytes, newest) ->
@@ -574,7 +547,7 @@ let flush_data t co ~src ~dst ~now ~cause =
       in
       let ams = ams @ riders in
       let frames = List.length ams in
-      note_batch t (Co_data co) ~src ~frames ~riders:(List.length riders) ~cause;
+      Coalesce.note_batch co ~frames ~riders:(List.length riders);
       let arrival =
         Network.Fabric.send t.fabric ~now
           (Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_data ams))
@@ -595,7 +568,7 @@ let flush_data t co ~src ~dst ~now ~cause =
    the cumulative ack refreshed on the last frame so the batch carries
    the newest ack state. Returns whether a batch actually left (a flush
    can park on flow control). *)
-let flush_framed t rel co ~src ~dst ~now ~cause =
+let flush_framed t rel co ~src ~dst ~now =
   match Coalesce.take co ~src ~dst with
   | None -> false
   | Some (frames, bytes, newest) ->
@@ -609,9 +582,7 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
           (fun (fs, b, k) am ->
             match Reliable.push rel ~src ~dst ~now am with
             | `Send fr -> (fr :: fs, b + frame_wire_bytes fr, k + 1)
-            | `Queued ->
-                Simcore.Stats.incr t.stats "reliable.backlogged";
-                (fs, b, k))
+            | `Queued -> (fs, b, k))
           (List.rev frames, bytes, 0) riders
       in
       (* The batch reaches the wire now: restamp the last frame with the
@@ -624,7 +595,7 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
             List.rev ({ last with Reliable.fr_ack = ack } :: rest)
       in
       let n_frames = List.length frames in
-      note_batch t (Co_framed co) ~src ~frames:n_frames ~riders:n_riders ~cause;
+      Coalesce.note_batch co ~frames:n_frames ~riders:(List.length riders);
       let p =
         Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_framed frames)
       in
@@ -662,7 +633,6 @@ let co_send_data t co ~src ~dst ~now am =
     Coalesce.offer co ~src ~dst ~now ~bytes:(am_wire_bytes am) ~port_free am
   with
   | `Bypass ->
-      Simcore.Stats.bump t.c_co_single;
       let arrival =
         Network.Fabric.send t.fabric ~now
           (Network.Packet.make ~src ~dst ~size_bytes:am.Am.size_bytes (Data am))
@@ -680,11 +650,11 @@ let co_send_data t co ~src ~dst ~now am =
       let jitter = decide_on t ~node:src "co.flush.delay" (1 + (delay / 2)) in
       add_event t ~time:(now + delay + jitter) (Co_flush { src; dst })
   | `Buffered -> ()
-  | `Threshold -> flush_data t co ~src ~dst ~now ~cause:Coalesce.Size
+  | `Threshold -> flush_data t co ~src ~dst ~now
 
 let co_send_framed t rel co ~src ~dst ~now am =
   (match Reliable.push rel ~src ~dst ~now am with
-  | `Queued -> Simcore.Stats.incr t.stats "reliable.backlogged"
+  | `Queued -> ()
   | `Send frame -> (
       let port_free = Network.Fabric.injection_idle t.fabric ~node:src ~now in
       match
@@ -692,7 +662,6 @@ let co_send_framed t rel co ~src ~dst ~now am =
           ~port_free frame
       with
       | `Bypass ->
-          Simcore.Stats.bump t.c_co_single;
           let eta = transmit_frame t ~control:false ~now ~src ~dst frame in
           add_event t ~time:eta (Co_credit { src; dst })
       | `Opened ->
@@ -701,7 +670,7 @@ let co_send_framed t rel co ~src ~dst ~now am =
             (Co_flush { src; dst })
       | `Buffered -> ()
       | `Threshold ->
-          ignore (flush_framed t rel co ~src ~dst ~now ~cause:Coalesce.Size)));
+          ignore (flush_framed t rel co ~src ~dst ~now)));
   arm_rel_tick t rel ~src ~dst ~now
 
 (* The scheduler-idle flush: the node ran out of queued work, so
@@ -716,13 +685,12 @@ let flush_open_buffers t node =
       match co with
       | Co_data c ->
           List.iter
-            (fun dst -> flush_data t c ~src ~dst ~now ~cause:Coalesce.Idle)
+            (fun dst -> flush_data t c ~src ~dst ~now)
             (Coalesce.open_dsts c ~src)
       | Co_framed c ->
           let rel = Option.get t.rel in
           List.iter
-            (fun dst ->
-              ignore (flush_framed t rel c ~src ~dst ~now ~cause:Coalesce.Idle))
+            (fun dst -> ignore (flush_framed t rel c ~src ~dst ~now))
             (Coalesce.open_dsts c ~src))
 
 let handle_co_flush t ~time ~src ~dst =
@@ -730,15 +698,12 @@ let handle_co_flush t ~time ~src ~dst =
   | None -> ()
   | Some (Co_data c) -> (
       match Coalesce.deadline_check c ~src ~dst ~now:time with
-      | `Flush -> flush_data t c ~src ~dst ~now:time ~cause:Coalesce.Deadline
+      | `Flush -> flush_data t c ~src ~dst ~now:time
       | `Rearm at -> add_event t ~time:at (Co_flush { src; dst })
       | `Idle -> ())
   | Some (Co_framed c) -> (
       match Coalesce.deadline_check c ~src ~dst ~now:time with
-      | `Flush ->
-          ignore
-            (flush_framed t (Option.get t.rel) c ~src ~dst ~now:time
-               ~cause:Coalesce.Deadline)
+      | `Flush -> ignore (flush_framed t (Option.get t.rel) c ~src ~dst ~now:time)
       | `Rearm at -> add_event t ~time:at (Co_flush { src; dst })
       | `Idle -> ())
 
@@ -747,14 +712,11 @@ let handle_co_credit t ~time ~src ~dst =
   | None -> ()
   | Some (Co_data c) -> (
       match Coalesce.credit_return c ~src ~dst with
-      | `Flush -> flush_data t c ~src ~dst ~now:time ~cause:Coalesce.Credit
+      | `Flush -> flush_data t c ~src ~dst ~now:time
       | `Idle -> ())
   | Some (Co_framed c) -> (
       match Coalesce.credit_return c ~src ~dst with
-      | `Flush ->
-          ignore
-            (flush_framed t (Option.get t.rel) c ~src ~dst ~now:time
-               ~cause:Coalesce.Credit)
+      | `Flush -> ignore (flush_framed t (Option.get t.rel) c ~src ~dst ~now:time)
       | `Idle -> ())
 
 let handle_frame t rel ~time ~src ~dst (frame : Reliable.frame) =
@@ -774,8 +736,7 @@ let handle_frame t rel ~time ~src ~dst (frame : Reliable.frame) =
       (match Reliable.on_data rel ~src ~dst ~seq:frame.Reliable.fr_seq am with
       | `Deliver ams ->
           List.iter (fun am -> deliver_local t ~dst ~arrival:time am) ams
-      | `Duplicate -> Simcore.Stats.bump t.c_dup_discard
-      | `Reordered -> ());
+      | `Duplicate | `Reordered -> ());
       (* Data owes an acknowledgement: piggybacked on reverse traffic if
          any leaves soon, otherwise by the delayed-ack timer. Duplicates
          re-ack too — the previous ack may have been lost. *)
@@ -788,7 +749,6 @@ let handle_rel_tick t rel ~time ~src ~dst =
   | `Idle -> ()
   | `Wait at -> add_event t ~time:at (Rel_tick { src; dst })
   | `Retransmit (frame, next_at) ->
-      Simcore.Stats.bump t.c_retransmit;
       charge t t.nodes.(src) t.config.cost.Cost_model.reliable_retransmit;
       ignore (transmit_frame t ~control:true ~now:time ~src ~dst frame);
       add_event t ~time:next_at (Rel_tick { src; dst })
@@ -801,12 +761,11 @@ let handle_ack_tick t rel ~time ~me ~peer =
      pending ack (buffered frames stamped past the ack deadline). *)
   (match t.co with
   | Some (Co_framed c) when Coalesce.has_open c ~src:me ~dst:peer ->
-      ignore (flush_framed t rel c ~src:me ~dst:peer ~now:time ~cause:Coalesce.Ack)
+      ignore (flush_framed t rel c ~src:me ~dst:peer ~now:time)
   | _ -> ());
   match Reliable.on_ack_timer rel ~me ~peer with
   | None -> () (* piggybacked in the meantime (possibly by the flush above) *)
   | Some frame ->
-      Simcore.Stats.bump t.c_ack;
       charge t t.nodes.(me) t.config.cost.Cost_model.reliable_ack;
       ignore (transmit_frame t ~control:true ~now:time ~src:me ~dst:peer frame)
 

@@ -222,9 +222,6 @@ val packets_dropped : t -> int
 
 val packets_duplicated : t -> int
 
-val dropped_by_src : t -> int -> int
-val duplicated_by_src : t -> int -> int
-
 val faults_state : t -> Network.Faults.t option
 (** The fabric's live fault state: the recovery manager re-times crash
     windows through it ({!Network.Faults.set_crashes}) before traffic
@@ -283,9 +280,6 @@ val crash_dropped : t -> int
 (** Packets lost to crash windows (vs. random drops); see
     {!Network.Fabric.crash_dropped}. *)
 
-val crash_dropped_by_node : t -> int -> int
-(** Crash losses attributed to the given crashed endpoint. *)
-
 (** {2 Message aggregation} *)
 
 val coalesce_active : t -> bool
@@ -294,8 +288,6 @@ val coalesce_active : t -> bool
 val coalesce_buffered : t -> int
 (** Frames currently parked in open aggregation buffers (0 when
     aggregation is off, and at clean quiescence). *)
-
-val coalesce_stats : t -> Coalesce.stats option
 
 val set_piggyback_source : t -> (src:int -> dst:int -> Am.t list) option -> unit
 (** Registers the flush-time piggyback hook: when a batch from [src] to

@@ -75,14 +75,15 @@ type t = {
   txs : tx array;  (** indexed by src * nodes + dst *)
   rxs : rx array;  (** indexed by src * nodes + dst *)
   mutable journal : journal option;
-  retransmits : int array;  (** per sending node *)
-  dup_discards : int array;  (** per receiving node *)
-  acks_sent : int array;  (** standalone acks, per sending node *)
-  acks_piggybacked : int array;
+  c_retransmit : Simcore.Stats.cell;  (** timer retransmissions *)
+  c_fast_retransmit : Simcore.Stats.cell;  (** ack-clocked (NewReno) ones *)
+  c_dup_discard : Simcore.Stats.cell;
+  c_ack : Simcore.Stats.cell;  (** standalone acks *)
+  c_ack_piggybacked : Simcore.Stats.cell;
       (** pending standalone acks cancelled because outgoing data (a
-          frame or a flushed batch) carried the cumulative ack instead;
-          per sending node *)
-  rto_hist : Simcore.Histogram.t array;
+          frame or a flushed batch) carried the cumulative ack instead *)
+  c_backlogged : Simcore.Stats.cell;
+  h_rto : Simcore.Stats.hist;  (** RTO in force at each retransmission *)
 }
 
 let fresh_tx cfg =
@@ -101,7 +102,7 @@ let fresh_tx cfg =
 
 let fresh_rx () = { expected = 0; reorder = Hashtbl.create 8; ack_due = max_int }
 
-let create ?(config = default_config) ~nodes () =
+let create ?(config = default_config) ~stats ~nodes () =
   if config.window < 1 then invalid_arg "Reliable.create: window must be >= 1";
   if config.backoff < 1 then invalid_arg "Reliable.create: backoff must be >= 1";
   {
@@ -110,11 +111,13 @@ let create ?(config = default_config) ~nodes () =
     txs = Array.init (nodes * nodes) (fun _ -> fresh_tx config);
     rxs = Array.init (nodes * nodes) (fun _ -> fresh_rx ());
     journal = None;
-    retransmits = Array.make nodes 0;
-    dup_discards = Array.make nodes 0;
-    acks_sent = Array.make nodes 0;
-    acks_piggybacked = Array.make nodes 0;
-    rto_hist = Array.init nodes (fun _ -> Simcore.Histogram.create ());
+    c_retransmit = Simcore.Stats.counter stats "reliable.retransmit";
+    c_fast_retransmit = Simcore.Stats.counter stats "reliable.fast_retransmit";
+    c_dup_discard = Simcore.Stats.counter stats "reliable.dup_discard";
+    c_ack = Simcore.Stats.counter stats "reliable.ack";
+    c_ack_piggybacked = Simcore.Stats.counter stats "reliable.ack_piggybacked";
+    c_backlogged = Simcore.Stats.counter stats "reliable.backlogged";
+    h_rto = Simcore.Stats.histogram stats "reliable.rto";
   }
 
 let config t = t.cfg
@@ -135,8 +138,7 @@ let rx_of t ~src ~dst = t.rxs.(key t src dst)
 let take_piggyback t ~me ~peer ~now =
   let rx = rx_of t ~src:peer ~dst:me in
   if now <= rx.ack_due then begin
-    if rx.ack_due <> max_int then
-      t.acks_piggybacked.(me) <- t.acks_piggybacked.(me) + 1;
+    if rx.ack_due <> max_int then Simcore.Stats.bump t.c_ack_piggybacked;
     rx.ack_due <- max_int
   end;
   rx.expected - 1
@@ -187,6 +189,7 @@ let push t ~src ~dst ~now am =
   let tx = tx_of t ~src ~dst in
   if Hashtbl.length tx.inflight >= t.cfg.window then begin
     Queue.push am tx.backlog;
+    Simcore.Stats.bump t.c_backlogged;
     (match t.journal with Some j -> j.j_queued ~src ~dst am | None -> ());
     `Queued
   end
@@ -246,8 +249,8 @@ let on_ack t ~src ~dst ~ack ~now =
         match Hashtbl.find_opt tx.inflight tx.base with
         | Some (am, _, _) ->
             Hashtbl.replace tx.inflight tx.base (am, now, false);
-            t.retransmits.(src) <- t.retransmits.(src) + 1;
-            Simcore.Histogram.observe t.rto_hist.(src) tx.rto;
+            Simcore.Stats.bump t.c_fast_retransmit;
+            Simcore.Stats.observe t.h_rto tx.rto;
             tx.deadline <- now + tx.rto;
             [
               {
@@ -320,8 +323,8 @@ let on_timer t ~src ~dst ~now =
        (an eventual ack is ambiguous about which copy it answers). The
        caller's note_eta for the new copy re-anchors the deadline. *)
     Hashtbl.replace tx.inflight tx.base (am, now, false);
-    t.retransmits.(src) <- t.retransmits.(src) + 1;
-    Simcore.Histogram.observe t.rto_hist.(src) tx.rto;
+    Simcore.Stats.bump t.c_retransmit;
+    Simcore.Stats.observe t.h_rto tx.rto;
     tx.rto <- min (tx.rto * t.cfg.backoff) t.cfg.max_rto_ns;
     tx.deadline <- now + tx.rto;
     tx.timer_armed <- true;
@@ -339,13 +342,13 @@ let on_timer t ~src ~dst ~now =
 let on_data t ~src ~dst ~seq am =
   let rx = rx_of t ~src ~dst in
   if seq < rx.expected then begin
-    t.dup_discards.(dst) <- t.dup_discards.(dst) + 1;
+    Simcore.Stats.bump t.c_dup_discard;
     `Duplicate
   end
   else if seq > rx.expected then
     if Hashtbl.mem rx.reorder seq then begin
       (* A duplicate of a frame already waiting in the reorder buffer. *)
-      t.dup_discards.(dst) <- t.dup_discards.(dst) + 1;
+      Simcore.Stats.bump t.c_dup_discard;
       `Duplicate
     end
     else begin
@@ -382,7 +385,7 @@ let on_ack_timer t ~me ~peer =
   if rx.ack_due = max_int then None
   else begin
     rx.ack_due <- max_int;
-    t.acks_sent.(me) <- t.acks_sent.(me) + 1;
+    Simcore.Stats.bump t.c_ack;
     Some { fr_seq = -1; fr_ack = rx.expected - 1; fr_data = None }
   end
 
@@ -419,9 +422,3 @@ let channel_states t =
   !acc
 
 let rx_expected t ~src ~dst = t.rxs.(key t src dst).expected
-
-let node_retransmits t node = t.retransmits.(node)
-let node_dup_discards t node = t.dup_discards.(node)
-let node_acks_sent t node = t.acks_sent.(node)
-let node_acks_piggybacked t node = t.acks_piggybacked.(node)
-let rto_histogram t node = t.rto_hist.(node)

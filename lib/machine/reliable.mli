@@ -51,7 +51,16 @@ val frame_bytes : int
 
 type t
 
-val create : ?config:config -> nodes:int -> unit -> t
+val create : ?config:config -> stats:Simcore.Stats.t -> nodes:int -> unit -> t
+(** Registers the layer's cells in [stats]: counters
+    [reliable.retransmit] (timer retransmissions),
+    [reliable.fast_retransmit] (ack-clocked ones, see {!on_ack}),
+    [reliable.dup_discard], [reliable.ack] (standalone acks sent),
+    [reliable.ack_piggybacked] (pending standalone acks cancelled by a
+    carrier, see {!take_piggyback}) and [reliable.backlogged] (pushes
+    that joined a full window's backlog), and the histogram
+    [reliable.rto] of the RTO in force at every retransmission — its
+    tail shows how deep the backoff had to go. *)
 
 val config : t -> config
 
@@ -105,7 +114,10 @@ val on_ack : t -> src:int -> dst:int -> ack:int -> now:Simcore.Time.t -> frame l
 (** Processes a cumulative ack received by [src] for its channel towards
     [dst]: forgets acknowledged frames, resets the RTO (progress), and
     returns backlog messages that now fit the window, already sequenced
-    and buffered — the caller must transmit them. *)
+    and buffered — the caller must transmit them. An ack that makes
+    progress without a valid RTT sample answered a retransmission; the
+    list then starts with the new base frame, resent at once (a fast
+    retransmit, NewReno shape). *)
 
 val timer_request : t -> src:int -> dst:int -> now:Simcore.Time.t -> Simcore.Time.t option
 (** After {!push} or {!on_ack}, asks whether a retransmit-timer event
@@ -179,15 +191,3 @@ val rx_expected : t -> src:int -> dst:int -> int
     number the receiver will release (0 for a never-used channel). The
     recovery audit compares this against the journal's released cursor —
     an acked-but-unjournaled message would be lost by a crash. *)
-
-val node_retransmits : t -> int -> int
-val node_dup_discards : t -> int -> int
-val node_acks_sent : t -> int -> int
-
-val node_acks_piggybacked : t -> int -> int
-(** Pending standalone acks a node cancelled because outgoing data (a
-    frame or a flushed batch) carried the cumulative ack instead. *)
-
-val rto_histogram : t -> int -> Simcore.Histogram.t
-(** Per sending node: the distribution of RTO values in force at each
-    retransmission — the tail shows how deep the backoff had to go. *)

@@ -27,15 +27,11 @@ type 'a t = {
      totals are derived by summation on read *)
   packets_by_src : int array;
   bytes_by_src : int array;
-  nodes : int;
-  (* per source node, for degradation reports *)
   dropped_by_src : int array;
   duplicated_by_src : int array;
   (* of the drops, the losses caused by a crash window rather than by a
-     random per-packet drop draw — attributed to the crashed endpoint.
-     Indexed [src * nodes + crashed_node]: only the sending node's
-     domain writes a row, and per-crashed-node totals sum a column. *)
-  crash_dropped_matrix : int array;
+     random per-packet drop draw *)
+  crash_dropped_by_src : int array;
 }
 
 let create ?(config = default_config) ?faults topo =
@@ -50,10 +46,9 @@ let create ?(config = default_config) ?faults topo =
     link_free = Hashtbl.create 256;
     packets_by_src = Array.make n 0;
     bytes_by_src = Array.make n 0;
-    nodes = n;
     dropped_by_src = Array.make n 0;
     duplicated_by_src = Array.make n 0;
-    crash_dropped_matrix = Array.make (n * n) 0;
+    crash_dropped_by_src = Array.make n 0;
   }
 
 let topology t = t.topo
@@ -126,17 +121,14 @@ let faulty_arrivals t f ~now ~base (p : _ Packet.t) =
      arrival instant. Distinguished from random drops so recovery
      reports can attribute losses to the crash itself. *)
   let crash_loss at =
-    if Faults.crashed f ~node:p.src ~at:now then Some p.src
-    else if Faults.crashed f ~node:p.dst ~at then Some p.dst
-    else None
+    Faults.crashed f ~node:p.src ~at:now || Faults.crashed f ~node:p.dst ~at
   in
   let drop_one () =
     t.dropped_by_src.(p.src) <- t.dropped_by_src.(p.src) + 1
   in
-  let crash_drop node =
+  let crash_drop () =
     drop_one ();
-    let k = (p.src * t.nodes) + node in
-    t.crash_dropped_matrix.(k) <- t.crash_dropped_matrix.(k) + 1
+    t.crash_dropped_by_src.(p.src) <- t.crash_dropped_by_src.(p.src) + 1
   in
   let first = base + fate.Faults.f_jitter in
   let arrivals =
@@ -144,22 +136,22 @@ let faulty_arrivals t f ~now ~base (p : _ Packet.t) =
       drop_one ();
       []
     end
-    else
-      match crash_loss first with
-      | Some node ->
-          crash_drop node;
-          []
-      | None -> [ first ]
+    else if crash_loss first then begin
+      crash_drop ();
+      []
+    end
+    else [ first ]
   in
   if fate.Faults.f_duplicate then begin
     let copy = first + fate.Faults.f_dup_jitter in
-    match crash_loss copy with
-    | Some node ->
-        crash_drop node;
-        arrivals
-    | None ->
-        t.duplicated_by_src.(p.src) <- t.duplicated_by_src.(p.src) + 1;
-        arrivals @ [ copy ]
+    if crash_loss copy then begin
+      crash_drop ();
+      arrivals
+    end
+    else begin
+      t.duplicated_by_src.(p.src) <- t.duplicated_by_src.(p.src) + 1;
+      arrivals @ [ copy ]
+    end
   end
   else arrivals
 
@@ -199,16 +191,7 @@ let min_remote_latency t =
   + t.config.hw_launch_ns + t.config.per_hop_ns
 let packets_dropped t = Array.fold_left ( + ) 0 t.dropped_by_src
 let packets_duplicated t = Array.fold_left ( + ) 0 t.duplicated_by_src
-let dropped_by_src t src = t.dropped_by_src.(src)
-let duplicated_by_src t src = t.duplicated_by_src.(src)
-let crash_dropped t = Array.fold_left ( + ) 0 t.crash_dropped_matrix
-
-let crash_dropped_by_node t node =
-  let total = ref 0 in
-  for src = 0 to t.nodes - 1 do
-    total := !total + t.crash_dropped_matrix.((src * t.nodes) + node)
-  done;
-  !total
+let crash_dropped t = Array.fold_left ( + ) 0 t.crash_dropped_by_src
 
 let channel_entries t =
   Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.last_delivery
@@ -222,4 +205,4 @@ let reset t =
   Array.fill t.bytes_by_src 0 (Array.length t.bytes_by_src) 0;
   Array.fill t.dropped_by_src 0 (Array.length t.dropped_by_src) 0;
   Array.fill t.duplicated_by_src 0 (Array.length t.duplicated_by_src) 0;
-  Array.fill t.crash_dropped_matrix 0 (Array.length t.crash_dropped_matrix) 0
+  Array.fill t.crash_dropped_by_src 0 (Array.length t.crash_dropped_by_src) 0

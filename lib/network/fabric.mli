@@ -118,20 +118,10 @@ val packets_dropped : 'a t -> int
 
 val packets_duplicated : 'a t -> int
 
-val dropped_by_src : 'a t -> int -> int
-(** Losses of packets injected by the given node. *)
-
-val duplicated_by_src : 'a t -> int -> int
-
 val crash_dropped : 'a t -> int
 (** Of {!packets_dropped}, the losses caused by a crash window rather
     than a random drop draw (a random draw that would also have hit a
     crash window counts as random). *)
-
-val crash_dropped_by_node : 'a t -> int -> int
-(** Crash losses attributed to the given {e crashed endpoint} — the
-    node whose down window killed the packet, source or destination —
-    unlike {!dropped_by_src}, which always charges the sender. *)
 
 val channel_entries : 'a t -> int
 (** Number of live per-channel bookkeeping entries (FIFO watermarks plus

@@ -471,6 +471,10 @@ let audit_quiescent t =
   let bad = ref (audit t) in
   let say fmt = Format.kasprintf (fun s -> bad := s :: !bad) fmt in
   if any_restart_pending t then say "quiescent with a restart still pending";
+  (* A dispatch the delivery log never saw could not be replayed after a
+     crash: the run was only recoverable by luck. *)
+  let unlogged = Simcore.Stats.read t.c_unlogged in
+  if unlogged > 0 then say "%d dispatch(es) the delivery log never saw" unlogged;
   Array.iteri
     (fun i ns ->
       if Engine.node_down t.eng i then say "quiescent with node %d down" i;

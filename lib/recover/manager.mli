@@ -99,5 +99,7 @@ val audit : t -> string list
 
 val audit_quiescent : t -> string list
 (** {!audit} plus the quiescence-only checks: no restart pending, no
-    node down, and on every channel the receiver's acked cursor equals
-    the journaled cursor (no acked-but-unlogged message). *)
+    node down, no dispatch the delivery log never saw (the
+    [recover.dispatch_unlogged] counter), and on every channel the
+    receiver's acked cursor equals the journaled cursor (no
+    acked-but-unlogged message). *)

@@ -21,6 +21,17 @@ let pp_v oc = function
   | Str s -> Printf.fprintf oc "\"%s\"" (escape s)
 
 let write ~path fields =
+  (* A JSON object with a repeated key is legal to print and ambiguous
+     to read: each consumer keeps a different copy. Refuse it before the
+     file is touched. *)
+  let rec check seen = function
+    | [] -> ()
+    | (k, _) :: rest ->
+        if List.mem k seen then
+          invalid_arg (Printf.sprintf "Bench_json.write: duplicate key %S" k);
+        check (k :: seen) rest
+  in
+  check [] fields;
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   List.iteri

@@ -146,13 +146,26 @@ let test_burst_batches_fifo () =
     true
     (Engine.packets_sent m * 2 <= burst);
   Alcotest.(check int) "nothing left buffered" 0 (Engine.coalesce_buffered m);
-  let s = Option.get (Engine.coalesce_stats m) in
-  Alcotest.(check bool) "batches were cut by size" true
-    (s.Coalesce.s_flush_size >= 1);
-  Alcotest.(check bool) "credit window engaged" true
-    (s.Coalesce.s_flush_credit + s.Coalesce.s_flush_idle >= 1);
-  Alcotest.(check int) "frame accounting" (burst - s.Coalesce.s_singles)
-    s.Coalesce.s_frames
+  let st = Engine.stats m in
+  let occ = Option.get (Simcore.Stats.get_histogram st "coalesce.occupancy") in
+  Alcotest.(check (option int)) "batches were cut by size"
+    (Some Coalesce.default_config.Coalesce.max_batch_frames)
+    (Simcore.Histogram.max occ);
+  Alcotest.(check bool) "the tail left below the threshold" true
+    (Simcore.Histogram.min occ
+    < Some Coalesce.default_config.Coalesce.max_batch_frames);
+  Alcotest.(check int) "one occupancy sample per batch"
+    (Simcore.Stats.get st "coalesce.batch")
+    (Simcore.Histogram.count occ);
+  let frames =
+    Float.to_int
+      (Float.round
+         (Option.get (Simcore.Histogram.mean occ)
+         *. float_of_int (Simcore.Histogram.count occ)))
+  in
+  Alcotest.(check int) "frame accounting"
+    (burst - Simcore.Stats.get st "coalesce.single")
+    frames
 
 (* --- exactly-once FIFO when whole batches share a fault fate -------- *)
 

@@ -305,15 +305,9 @@ let test_migrated_then_dropped_fully_reclaimed () =
       0
       (Migrate.stub_count m ~node)
   done;
-  (match Services.Migstats.survey sys with
-  | Some r ->
-      Array.iter
-        (fun (row : Services.Migstats.node_row) ->
-          Alcotest.(check int)
-            (Printf.sprintf "migstats sees no stub on node %d" row.node)
-            0 row.Services.Migstats.stubs)
-        r.Services.Migstats.per_node
-  | None -> Alcotest.fail "migration happened, report expected");
+  Alcotest.(check (list (pair int int)))
+    "diagnostics sees no stub on any node" []
+    (Diagnostics.survey sys).Diagnostics.forwarding_stubs;
   check_audit g
 
 (* --- churn with the periodic timer --------------------------------- *)

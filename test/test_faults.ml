@@ -42,6 +42,52 @@ let test_exactly_once_fifo () =
   Alcotest.(check int) "nothing left unacknowledged" 0
     (Engine.reliable_in_flight m)
 
+let test_crash_window_fast_retransmit () =
+  (* Node 1's interface is dark while node 0 streams to it: the window
+     kills whole flights, and after it the first ack answers a
+     retransmission. That ack clocks out the next lost frame at once (a
+     fast retransmit) instead of waiting out the backed-off timer.
+     Delivery must stay exactly-once FIFO on both channels. *)
+  let plan =
+    Faults.plan ~seed:3 ~drop:0.01
+      ~crashes:[ { Faults.node = 1; from_ns = 30_000; until_ns = 400_000 } ]
+      ()
+  in
+  let m = Engine.create ~config:(faulty_config plan) ~nodes:4 () in
+  let seen = Array.make 4 [] in
+  let h =
+    Engine.register_handler m Am.Service ~name:"mark" (fun _ node am ->
+        match am.Am.payload with
+        | Marker k -> seen.(Node.id node) <- k :: seen.(Node.id node)
+        | _ -> assert false)
+  in
+  let rounds = 12 and burst = 16 in
+  for r = 0 to rounds - 1 do
+    Engine.schedule_at m ~time:(r * 20_000) (fun () ->
+        let n0 = Engine.node m 0 in
+        Engine.post m n0 (fun () ->
+            for i = 1 to burst do
+              let k = (r * burst) + i in
+              Engine.send_am m ~src:n0 ~dst:1 ~handler:h ~size_bytes:8 (Marker k);
+              Engine.send_am m ~src:n0 ~dst:2 ~handler:h ~size_bytes:8 (Marker k)
+            done))
+  done;
+  Engine.run m;
+  let expect = List.init (rounds * burst) (fun i -> i + 1) in
+  Alcotest.(check (list int)) "dst 1: exactly-once FIFO across the window" expect
+    (List.rev seen.(1));
+  Alcotest.(check (list int)) "dst 2: exactly-once FIFO" expect (List.rev seen.(2));
+  Alcotest.(check bool) "the window killed packets" true (Engine.crash_dropped m > 0);
+  let st = Engine.stats m in
+  Alcotest.(check bool) "ack-clocked fast retransmits happened" true
+    (Simcore.Stats.get st "reliable.fast_retransmit" > 0);
+  Alcotest.(check int) "one RTO sample per retransmission"
+    (Simcore.Stats.get st "reliable.retransmit"
+    + Simcore.Stats.get st "reliable.fast_retransmit")
+    (Simcore.Histogram.count
+       (Option.get (Simcore.Stats.get_histogram st "reliable.rto")));
+  Alcotest.(check int) "nothing left unacknowledged" 0 (Engine.reliable_in_flight m)
+
 let test_zero_plan_inert () =
   (* An all-zero plan must be normalised away entirely: no reliable layer,
      and runs bit-identical to the fault-free build. *)
@@ -73,13 +119,13 @@ let test_nqueens_under_faults () =
   Alcotest.(check bool) "clean quiescence" true (Core.Diagnostics.is_clean d);
   Alcotest.(check bool) "losses happened" true
     (d.Core.Diagnostics.packets_dropped > 0);
-  match Services.Faultstats.survey sys with
-  | None -> Alcotest.fail "fault statistics expected on a faulty machine"
-  | Some fs ->
-      Alcotest.(check bool) "retransmissions repaired the losses" true
-        (fs.Services.Faultstats.total_retransmits > 0);
-      Alcotest.(check int) "no message lost for good" 0
-        fs.Services.Faultstats.in_flight
+  let st = Core.System.stats sys in
+  Alcotest.(check bool) "retransmissions repaired the losses" true
+    (Simcore.Stats.get st "reliable.retransmit"
+     + Simcore.Stats.get st "reliable.fast_retransmit"
+    > 0);
+  Alcotest.(check int) "no message lost for good" 0
+    (Machine.Engine.reliable_in_flight (Core.System.machine sys))
 
 let test_crash_recovery () =
   (* Node 3's network interface is down for a millisecond early in the
@@ -120,6 +166,8 @@ let () =
       ( "reliable",
         [
           Alcotest.test_case "exactly-once FIFO" `Quick test_exactly_once_fifo;
+          Alcotest.test_case "crash window fast retransmit" `Quick
+            test_crash_window_fast_retransmit;
           Alcotest.test_case "zero plan inert" `Quick test_zero_plan_inert;
         ] );
       ( "degradation",

@@ -187,13 +187,10 @@ let test_chain_collapse_and_revival () =
   check_conserved m;
   (* Everything above rode the migration counters. *)
   Alcotest.(check int) "four migrations" 4 (Migrate.migrations m);
-  match Services.Migstats.survey sys with
-  | None -> Alcotest.fail "migration stats expected"
-  | Some r ->
-      Alcotest.(check int) "report agrees on moves" 4
-        r.Services.Migstats.migrations;
-      Alcotest.(check int) "installs match moves" 4 r.Services.Migstats.installs;
-      ignore (Format.asprintf "%a" Services.Migstats.pp r)
+  let st = System.stats sys in
+  Alcotest.(check int) "registry agrees on moves" 4
+    (Simcore.Stats.get st "migrate.out");
+  Alcotest.(check int) "installs match moves" 4 (Simcore.Stats.get st "migrate.in")
 
 (* --- ordering ------------------------------------------------------ *)
 

@@ -283,23 +283,32 @@ let test_lookahead_violation_sequential_ok () =
 
 let test_stats_shard_merge () =
   let st = Stats.create () in
+  (* registered before the widening: shard must grow it too *)
+  let h = Stats.histogram ~bucket_width:10 st "parallel.hist" in
   Stats.shard st 4;
   let c = Stats.counter st "parallel.test" in
+  let work d =
+    for i = 1 to 10_000 do
+      Stats.bump c;
+      if i mod 100 = 0 then Stats.observe h (d * 1_000 + (i / 100))
+    done
+  in
   let ds =
     Array.init 3 (fun i ->
         Domain.spawn (fun () ->
             Simcore.Domain_ctx.set (i + 1);
-            for _ = 1 to 10_000 do
-              Stats.bump c
-            done))
+            work (i + 1)))
   in
-  for _ = 1 to 10_000 do
-    Stats.bump c
-  done;
+  work 0;
   Array.iter Domain.join ds;
   Alcotest.(check int) "read sums every domain slot" 40_000 (Stats.read c);
   Alcotest.(check int) "get sees the same total" 40_000
-    (Stats.get st "parallel.test")
+    (Stats.get st "parallel.test");
+  let merged = Stats.read_histogram h in
+  Alcotest.(check int) "histogram merges every domain shard" 400
+    (Histogram.count merged);
+  Alcotest.(check (option int)) "min from domain 0" (Some 1) (Histogram.min merged);
+  Alcotest.(check (option int)) "max from domain 3" (Some 3_100) (Histogram.max merged)
 
 let test_histogram_merge () =
   let all = Histogram.create ~bucket_width:100 () in
@@ -518,9 +527,10 @@ let run_hostile ~seed ~domains ~source =
          next)
   in
   let co =
-    match Engine.coalesce_stats m with
-    | Some s -> (s.Coalesce.s_batches, s.Coalesce.s_singles, s.Coalesce.s_frames)
-    | None -> (0, 0, 0)
+    ( Stats.get st "coalesce.batch",
+      Stats.get st "coalesce.single",
+      Option.fold ~none:"" ~some:(Format.asprintf "%a" Histogram.pp)
+        (Stats.get_histogram st "coalesce.occupancy") )
   in
   let fold =
     ( Engine.elapsed m,

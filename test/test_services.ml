@@ -1,5 +1,5 @@
 (* Tests for the Category-4 service layer: termination combining, load
-   gossip, and the GC export analysis. *)
+   gossip, the GC export analysis, and the bench artifact writer. *)
 
 open Core
 
@@ -294,6 +294,17 @@ let test_timeline () =
   | (_, _, heaviest) :: _ -> Alcotest.(check bool) "traffic sorted" true (heaviest > 0)
   | [] -> Alcotest.fail "no traffic recorded")
 
+let test_bench_json_duplicate_key () =
+  let path = Filename.temp_file "bench_dup" ".json" in
+  let module J = Services.Bench_json in
+  Alcotest.check_raises "a repeated key is refused"
+    (Invalid_argument "Bench_json.write: duplicate key \"domains\"")
+    (fun () -> J.write ~path [ ("domains", J.Int 4); ("x", J.Int 1); ("domains", J.Int 1) ]);
+  J.write ~path [ ("domains", J.Int 4); ("x", J.Int 1) ];
+  Alcotest.(check (option int)) "distinct keys are written" (Some 4)
+    (J.read_int_field ~path ~key:"domains");
+  Sys.remove path
+
 let () =
   Alcotest.run "services"
     [
@@ -323,5 +334,10 @@ let () =
         ] );
       ( "timeline",
         [ Alcotest.test_case "records and renders" `Quick test_timeline ] );
+      ( "bench_json",
+        [
+          Alcotest.test_case "duplicate key rejected" `Quick
+            test_bench_json_duplicate_key;
+        ] );
     ]
 

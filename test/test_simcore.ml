@@ -301,11 +301,40 @@ let test_eq_tie_break () =
   in
   drain min_int
 
-let test_trace () =
-  Alcotest.(check bool) "disabled by default" false (Simcore.Trace.enabled ());
-  Simcore.Trace.with_enabled true (fun () ->
-      Alcotest.(check bool) "enabled inside" true (Simcore.Trace.enabled ()));
-  Alcotest.(check bool) "restored" false (Simcore.Trace.enabled ())
+let test_stats_histograms () =
+  let s = Stats.create () in
+  let h = Stats.histogram ~bucket_width:4 s "net.lat" in
+  List.iter (Stats.observe h) [ 3; 9; 9 ];
+  Alcotest.(check bool) "same cell by name" true
+    (Stats.histogram s "net.lat" == h);
+  let got = Option.get (Stats.get_histogram s "net.lat") in
+  Alcotest.(check int) "count" 3 (Histogram.count got);
+  Alcotest.(check (list (pair int int))) "buckets" [ (0, 1); (2, 2) ]
+    (Histogram.buckets got);
+  Alcotest.(check bool) "missing" true (Stats.get_histogram s "nope" = None);
+  Alcotest.(check (list string)) "histograms listed" [ "net.lat" ]
+    (List.map fst (Stats.histograms s));
+  Stats.reset s;
+  Alcotest.(check int) "reset empties" 0 (Histogram.count (Stats.read_histogram h))
+
+let test_stats_pp_layer () =
+  let s = Stats.create () in
+  Stats.incr s "net.sent";
+  Stats.incr s "netx.other";
+  Stats.incr s "app.calls";
+  Stats.observe (Stats.histogram s "net.lat") 7;
+  let lines pp =
+    Format.asprintf "%a" pp s
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> List.hd (String.split_on_char ' ' l))
+  in
+  Alcotest.(check (list string)) "one layer, counters and histograms in name order"
+    [ "net.lat"; "net.sent" ]
+    (lines (Stats.pp_layer ~prefix:"net."));
+  Alcotest.(check (list string)) "everything, in name order"
+    [ "app.calls"; "net.lat"; "net.sent"; "netx.other" ]
+    (lines Stats.pp)
 
 let () =
   Alcotest.run "simcore"
@@ -348,5 +377,9 @@ let () =
           Alcotest.test_case "quantile edge cases" `Quick
             test_histogram_quantile_errors;
         ] );
-      ("trace", [ Alcotest.test_case "toggle" `Quick test_trace ]);
+      ( "stats-extra",
+        [
+          Alcotest.test_case "histograms" `Quick test_stats_histograms;
+          Alcotest.test_case "pp by layer" `Quick test_stats_pp_layer;
+        ] );
     ]
