@@ -45,7 +45,7 @@ let rec take_chunk rt target =
       let t0 = Machine.Node.now rt.node in
       match Sched.block rt (Wait_chunk target) with
       | R_go ->
-          Simcore.Stats.add (stats rt) "chunk.stall.wait_ns"
+          Simcore.Stats.bump_n (ctrs rt).c_chunk_stall_wait
             (Machine.Node.now rt.node - t0);
           take_chunk rt target
       | R_reply _ | R_msg _ -> assert false)

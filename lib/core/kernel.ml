@@ -281,6 +281,7 @@ and counters = {
   c_create_remote_applied : Simcore.Stats.cell;
   c_chunk_refill : Simcore.Stats.cell;
   c_chunk_stall : Simcore.Stats.cell;
+  c_chunk_stall_wait : Simcore.Stats.cell;  (** "chunk.stall.wait_ns" *)
   c_slot_recycled : Simcore.Stats.cell;
   c_preempt : Simcore.Stats.cell;
   c_wait_blocked : Simcore.Stats.cell;
@@ -321,8 +322,9 @@ and node_rt = {
   mutable stock_low_water : int;
       (** smallest stock depth ever observed for any target on this
           node; [stock_size] until the first take *)
-  mutable chunk_waiters : (int * blocked) list;
-      (** (target node, parked requester context) *)
+  chunk_waiters : blocked Queue.t array;
+      (** per target node: requester contexts parked on its empty
+          stock, oldest first *)
   mutable preempt_pending : int;
       (** preemption resumes posted but not yet run; their captured
           continuations hold stack references no sweep can trace *)
@@ -403,6 +405,7 @@ let make_counters stats =
     c_create_remote_applied = cell "create.remote.applied";
     c_chunk_refill = cell "chunk.refill";
     c_chunk_stall = cell "chunk.stall";
+    c_chunk_stall_wait = cell "chunk.stall.wait_ns";
     c_slot_recycled = cell "slot.recycled";
     c_preempt = cell "preempt";
     c_wait_blocked = cell "wait.blocked";
@@ -417,4 +420,8 @@ let make_counters stats =
   }
 
 let ctrs rt = rt.shared.ctrs
+
+let chunk_waiter_count rt =
+  Array.fold_left (fun n q -> n + Queue.length q) 0 rt.chunk_waiters
+
 let bump = Simcore.Stats.bump

@@ -254,7 +254,7 @@ and handle_block :
       obj.blocked <- Some b;
       bump (ctrs rt).c_wait_blocked
   | Wait_chunk target ->
-      rt.chunk_waiters <- rt.chunk_waiters @ [ (target, b) ];
+      Queue.push b rt.chunk_waiters.(target);
       bump (ctrs rt).c_chunk_stall
   | Preempted ->
       rt.work_since_yield <- 0;

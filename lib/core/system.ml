@@ -91,17 +91,10 @@ let chunk_handler _machine node am =
       let rt = rt_of node in
       Queue.push slot rt.stocks.(am.Am.src);
       bump (ctrs rt).c_chunk_refill;
-      (* Resume the first requester blocked on this target's stock. *)
-      let rec split acc = function
-        | [] -> None
-        | (target, b) :: rest when target = am.Am.src ->
-            rt.chunk_waiters <- List.rev_append acc rest;
-            Some b
-        | pair :: rest -> split (pair :: acc) rest
-      in
-      (match split [] rt.chunk_waiters with
-      | Some b -> Sched.resume rt b R_go
-      | None -> ())
+      (* Resume the oldest requester blocked on this target's stock. *)
+      let waiters = rt.chunk_waiters.(am.Am.src) in
+      if not (Queue.is_empty waiters) then
+        Sched.resume rt (Queue.take waiters) R_go
   | _ -> assert false
 
 (* --- Boot --- *)
@@ -164,7 +157,7 @@ let boot ?(machine_config = Engine.default_config)
         slots_recycled = 0;
         stocks = Array.init p (fun _ -> Queue.create ());
         stock_low_water = stock;
-        chunk_waiters = [];
+        chunk_waiters = Array.init p (fun _ -> Queue.create ());
         preempt_pending = 0;
         rr_cursor = i + 1;
         depth = 0;

@@ -326,6 +326,10 @@ let now_cur t =
    (per-node seqs never collide) and count-invariant (each node's
    emission order is), so the Timeline hash is too. With no observer
    attached nothing is stamped or kept. *)
+let observed t = Option.is_some t.observer
+
+(* Callers test [observed] first, so an unobserved run does not even
+   build the observation record. *)
 let emit_obs t ~time ~node obs =
   match (t.observer, t.par) with
   | None, _ -> ()
@@ -470,7 +474,8 @@ let transmit_frame t ~control ~now ~src ~dst (frame : Reliable.frame) =
   | _ -> Simcore.Stats.bump t.c_dup);
   List.iter
     (fun arrival ->
-      emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
+      if observed t then
+        emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
       frame_rx t ~src ~dst ~arrival frame)
     arrivals;
   eta
@@ -555,10 +560,12 @@ let flush_data t co ~src ~dst ~now =
       let arrivals =
         staggered_arrivals t ~arrival (List.map am_wire_bytes ams)
       in
-      emit_obs t ~time:arrival ~node:src (Obs_batch { time = arrival; src; dst; frames });
+      if observed t then
+        emit_obs t ~time:arrival ~node:src (Obs_batch { time = arrival; src; dst; frames });
       List.iter2
         (fun am at ->
-          emit_obs t ~time:at ~node:src (Obs_deliver { time = at; src; dst });
+          if observed t then
+            emit_obs t ~time:at ~node:src (Obs_deliver { time = at; src; dst });
           deliver_remote t ~src ~dst ~arrival:at am)
         ams arrivals;
       add_event t ~time:arrival (Co_credit { src; dst })
@@ -612,11 +619,13 @@ let flush_framed t rel co ~src ~dst ~now =
       let sizes = List.map frame_wire_bytes frames in
       List.iter
         (fun arrival ->
-          emit_obs t ~time:arrival ~node:src
-            (Obs_batch { time = arrival; src; dst; frames = n_frames });
+          if observed t then
+            emit_obs t ~time:arrival ~node:src
+              (Obs_batch { time = arrival; src; dst; frames = n_frames });
           List.iter2
             (fun fr at ->
-              emit_obs t ~time:at ~node:src (Obs_deliver { time = at; src; dst });
+              if observed t then
+                emit_obs t ~time:at ~node:src (Obs_deliver { time = at; src; dst });
               frame_rx t ~src ~dst ~arrival:at fr)
             frames
             (staggered_arrivals t ~arrival sizes))
@@ -637,7 +646,8 @@ let co_send_data t co ~src ~dst ~now am =
         Network.Fabric.send t.fabric ~now
           (Network.Packet.make ~src ~dst ~size_bytes:am.Am.size_bytes (Data am))
       in
-      emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
+      if observed t then
+        emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
       deliver_remote t ~src ~dst ~arrival am;
       add_event t ~time:arrival (Co_credit { src; dst })
   | `Opened ->
@@ -789,8 +799,9 @@ and send_am_live t ~src ~dst ~handler:hid ~size_bytes payload =
     (* Loopback bypasses the fabric (and with it the fault layer); it
        stays immediate in a parallel run too — source and destination
        are the same node, so there is nothing to defer. *)
-    emit_obs t ~time:(now + 1) ~node:(Node.id src)
-      (Obs_deliver { time = now + 1; src = Node.id src; dst });
+    if observed t then
+      emit_obs t ~time:(now + 1) ~node:(Node.id src)
+        (Obs_deliver { time = now + 1; src = Node.id src; dst });
     deliver_local t ~dst ~arrival:(now + 1) am
   end
   else
@@ -804,8 +815,9 @@ and send_am_live t ~src ~dst ~handler:hid ~size_bytes payload =
           Network.Fabric.send t.fabric ~now
             (Network.Packet.make ~src:(Node.id src) ~dst ~size_bytes (Data am))
         in
-        emit_obs t ~time:arrival ~node:(Node.id src)
-          (Obs_deliver { time = arrival; src = Node.id src; dst });
+        if observed t then
+          emit_obs t ~time:arrival ~node:(Node.id src)
+            (Obs_deliver { time = arrival; src = Node.id src; dst });
         (* The message sits in the destination's arrival-ordered inbox at
            once (it only becomes *visible* when the clock passes its
            arrival), so interrupt-mode delivery can notice it
@@ -829,14 +841,9 @@ let dispatch t node am =
 let redispatch t ~node am = dispatch t t.nodes.(node) am
 
 let poll t node =
-  let rec drain () =
-    match Node.inbox_pop_ready node with
-    | Some (_, am) ->
-        dispatch t node am;
-        drain ()
-    | None -> ()
-  in
-  drain ()
+  while Node.inbox_ready node do
+    dispatch t node (Node.inbox_take node)
+  done
 
 (* nCUBE/2-style delivery: message arrival interrupts the computation.
    Interrupts are taken only at explicit interrupt points — user-level
@@ -845,16 +852,19 @@ let poll t node =
    masked, as on a real machine. Re-entrant interrupts are masked while
    a handler runs. *)
 let interrupt_point t node =
-  if t.config.delivery = Interrupt && not (Node.interrupts_masked node) then
-    match Node.inbox_pop_ready node with
-    | None -> ()
-    | Some (_, am) ->
-        Node.set_interrupts_masked node true;
-        Fun.protect
-          ~finally:(fun () -> Node.set_interrupts_masked node false)
-          (fun () ->
-            dispatch t node am;
-            poll t node)
+  if
+    t.config.delivery = Interrupt
+    && (not (Node.interrupts_masked node))
+    && Node.inbox_ready node
+  then begin
+    let am = Node.inbox_take node in
+    Node.set_interrupts_masked node true;
+    Fun.protect
+      ~finally:(fun () -> Node.set_interrupts_masked node false)
+      (fun () ->
+        dispatch t node am;
+        poll t node)
+  end
 
 let post t node thunk =
   (* A dead machine refuses work: the thunk is not queued (the run
@@ -880,15 +890,15 @@ let reschedule_or_idle t node =
     Node.set_next_wake node (Node.now node);
     add_event t ~time:(Node.now node) (Wake (Node.id node))
   end
-  else
-    match Node.inbox_next_arrival node with
-    | Some arrival ->
-        let time = max arrival (Node.now node) in
-        Node.set_next_wake node time;
-        add_event t ~time (Wake (Node.id node))
-    | None ->
-        Node.set_next_wake node max_int;
-        Node.set_idle node true
+  else if Node.inbox_size node > 0 then begin
+    let time = max (Node.inbox_next_arrival node) (Node.now node) in
+    Node.set_next_wake node time;
+    add_event t ~time (Wake (Node.id node))
+  end
+  else begin
+    Node.set_next_wake node max_int;
+    Node.set_idle node true
+  end
 
 let set_observer t obs = t.observer <- obs
 
@@ -919,8 +929,9 @@ let crash_node t i ~restart_at =
   | Some (Co_data c) -> Coalesce.reset_src c ~src:i
   | Some (Co_framed c) -> Coalesce.reset_src c ~src:i
   | None -> ());
-  emit_obs t ~time:vnow ~node:i
-    (Obs_crash { time = vnow; node = i; incarnation = t.incarnation.(i) })
+  if observed t then
+    emit_obs t ~time:vnow ~node:i
+      (Obs_crash { time = vnow; node = i; incarnation = t.incarnation.(i) })
 
 (* Bring node [i] back as a fresh incarnation and wake it so it polls
    whatever the recovery manager rebuilt into its inbox. The caller
@@ -931,8 +942,9 @@ let restart_node t i =
   t.restart_due.(i) <- 0;
   t.incarnation.(i) <- t.incarnation.(i) + 1;
   let vnow = now_cur t in
-  emit_obs t ~time:vnow ~node:i
-    (Obs_restart { time = vnow; node = i; incarnation = t.incarnation.(i) });
+  if observed t then
+    emit_obs t ~time:vnow ~node:i
+      (Obs_restart { time = vnow; node = i; incarnation = t.incarnation.(i) });
   wake t t.nodes.(i) ~time:vnow
 
 let step t node ~time =
@@ -946,7 +958,7 @@ let step t node ~time =
       thunk ()
   | None -> ());
   (let t_end = Node.now node in
-   if t_end > t_start then
+   if t_end > t_start && observed t then
      emit_obs t ~time:t_start ~node:(Node.id node)
        (Obs_slice { node = Node.id node; t_start; t_end }));
   (* The scheduler ran dry: open aggregation buffers leave now, so
@@ -995,16 +1007,14 @@ let run ?(max_slices = max_int) t =
     if !slices > max_slices then
       failwith "Engine.run: max_slices exceeded (livelock?)"
   in
-  let rec loop () =
-    match Simcore.Event_queue.pop t.events with
-    | None -> ()
-    | Some (time, ev) ->
-        t.vnow <- max t.vnow time;
-        exec_event t ~time ~count_slice ev;
-        t.evcount <- t.evcount + 1;
-        loop ()
-  in
-  loop ()
+  let q = t.events in
+  while not (Simcore.Event_queue.is_empty q) do
+    let time = Simcore.Event_queue.min_time q in
+    let ev = Simcore.Event_queue.take q in
+    t.vnow <- max t.vnow time;
+    exec_event t ~time ~count_slice ev;
+    t.evcount <- t.evcount + 1
+  done
 
 (* --- parallel run: conservative lookahead over sharded nodes ------- *)
 
@@ -1114,6 +1124,9 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
   let worker d =
     Simcore.Domain_ctx.set d;
     let q = par.p_queues.(d) in
+    let count_slice () =
+      par.p_slices.(d * pad) <- par.p_slices.(d * pad) + 1
+    in
     let running = ref true in
     while !running do
       (try
@@ -1144,10 +1157,7 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
                  add_event t ~time:it.x_time
                    (Frame_rx { src = it.x_src; dst = it.x_dst; frame }))
            items;
-         par.p_mins.(d * pad) <-
-           (match Simcore.Event_queue.peek_time q with
-           | Some tm -> tm
-           | None -> max_int)
+         par.p_mins.(d * pad) <- Simcore.Event_queue.min_time q
        with e -> record_err d e);
       (* Publish this domain's error flag and slice count before the
          barrier: the verdict below reads only these boundary-published
@@ -1186,22 +1196,13 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
           let horizon = !m + par.p_lookahead in
           par.p_horizon.(d * pad) <- horizon;
           (try
-             let exec = ref true in
-             while !exec do
-               match Simcore.Event_queue.peek_time q with
-               | Some tm when tm < horizon -> (
-                   match Simcore.Event_queue.pop q with
-                   | None -> exec := false
-                   | Some (time, ev) ->
-                       if time > par.p_vnow.(d * pad) then
-                         par.p_vnow.(d * pad) <- time;
-                       par.p_events.(d * pad) <- par.p_events.(d * pad) + 1;
-                       exec_event t ~time
-                         ~count_slice:(fun () ->
-                           par.p_slices.(d * pad) <-
-                             par.p_slices.(d * pad) + 1)
-                         ev)
-               | _ -> exec := false
+             (* [min_time] is [max_int] on an empty queue. *)
+             while Simcore.Event_queue.min_time q < horizon do
+               let time = Simcore.Event_queue.min_time q in
+               let ev = Simcore.Event_queue.take q in
+               if time > par.p_vnow.(d * pad) then par.p_vnow.(d * pad) <- time;
+               par.p_events.(d * pad) <- par.p_events.(d * pad) + 1;
+               exec_event t ~time ~count_slice ev
              done
            with e -> record_err d e);
           Simcore.Barrier.await par.p_barrier ~me:d

@@ -41,10 +41,16 @@ val set_inbox_tie_break : t -> (int -> int) option -> unit
     polls first. The schedule explorer perturbs poll order through this
     hook. *)
 
-val inbox_pop_ready : t -> (Simcore.Time.t * Am.t) option
-(** Pops the oldest message whose arrival time is <= the node clock. *)
+val inbox_ready : t -> bool
+(** Whether the oldest message's arrival time is <= the node clock. *)
 
-val inbox_next_arrival : t -> Simcore.Time.t option
+val inbox_take : t -> Am.t
+(** Pops the oldest message (the tie-break, if set, picks among those
+    sharing its arrival time). Check {!inbox_ready} first. *)
+
+val inbox_next_arrival : t -> Simcore.Time.t
+(** Arrival time of the oldest message; [max_int] if the inbox is
+    empty. *)
 
 val inbox_size : t -> int
 

@@ -24,11 +24,16 @@ let node_at t (x, y) =
 
 let axis_dist len a b =
   let d = abs (a - b) in
-  min d (len - d)
+  Int.min d (len - d)
 
+(* Called once per packet, so the coordinates are computed inline:
+   going through [coords] cost two tuples a call. *)
 let hops t a b =
-  let xa, ya = coords t a and xb, yb = coords t b in
-  axis_dist t.nx xa xb + axis_dist t.ny ya yb
+  let n = node_count t in
+  if a < 0 || a >= n || b < 0 || b >= n then
+    invalid_arg "Topology.coords: bad node";
+  axis_dist t.nx (a mod t.nx) (b mod t.nx)
+  + axis_dist t.ny (a / t.nx) (b / t.nx)
 
 let neighbors t n =
   let x, y = coords t n in

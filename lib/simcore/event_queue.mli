@@ -10,6 +10,16 @@ val create : unit -> 'a t
 val add : 'a t -> time:Time.t -> 'a -> unit
 (** [add q ~time ev] schedules [ev] at [time]. O(log n). *)
 
+val min_time : 'a t -> Time.t
+(** Timestamp of the earliest event, or [max_int] if the queue is empty.
+    Allocates nothing. *)
+
+val take : 'a t -> 'a
+(** Removes and returns the earliest event (the tie-break, if set, picks
+    among the events at {!min_time}, so the taken event's timestamp is
+    always the [min_time] read just before). Allocates nothing without
+    a tie-break. Raises [Invalid_argument] if the queue is empty. *)
+
 val pop : 'a t -> (Time.t * 'a) option
 (** Removes and returns the earliest event, or [None] if empty. *)
 
@@ -23,10 +33,11 @@ val set_tie_break : 'a t -> ('a array -> int) option -> unit
     genuine concurrency (see {!Machine.Node.set_inbox_tie_break}).
     [None] (the initial state) restores plain FIFO. Used by the
     schedule explorer to perturb orderings the simulation treats as
-    concurrent. *)
+    concurrent. Applies to {!take} and {!pop} alike. *)
 
 val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest event without removing it. *)
+(** Timestamp of the earliest event without removing it, or [None] if
+    empty. *)
 
 val iter : (Time.t -> 'a -> unit) -> 'a t -> unit
 (** Visits every queued event in unspecified (heap) order, without

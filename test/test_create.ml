@@ -7,6 +7,7 @@ open Core
 let p_inc = Pattern.intern "tc_inc" ~arity:0
 let _p_get = Pattern.intern "tc_get" ~arity:0
 let p_go = Pattern.intern "tc_go" ~arity:1
+let p_make = Pattern.intern "tc_make" ~arity:2
 
 let counter_cls () =
   Class_def.define ~name:"tc_counter" ~state:[| "n" |]
@@ -103,6 +104,73 @@ let test_chunk_stall_and_resume () =
     (Simcore.Stats.get st "chunk.stall" >= 3);
   Alcotest.(check int) "stock replenished per creation" 5
     (Simcore.Stats.get st "chunk.refill")
+
+(* Stalled creators wait per target: with one-slot stocks, contexts on
+   node 0 stall on targets 1 and 2 interleaved. Each target's waiters
+   resume oldest first, and only a chunk from their own target wakes
+   them: a waiter woken by the other target's chunk would find its
+   stock still empty and stall a second time. *)
+let test_chunk_waiters_per_target () =
+  let counter = counter_cls () in
+  let sys = ref None in
+  let expected_stalls = ref 0 and peak = Array.make 3 0 and finished = ref [] in
+  let waiter =
+    Class_def.define ~name:"tc_waiter"
+      ~methods:
+        [
+          ( p_make,
+            fun ctx msg ->
+              let target = Value.to_int (Message.arg msg 0) in
+              let tag = Value.to_int (Message.arg msg 1) in
+              let rt0 = System.rt (Option.get !sys) 0 in
+              let waiting = Queue.length rt0.Kernel.chunk_waiters.(target) in
+              peak.(target) <- max peak.(target) waiting;
+              if Queue.is_empty rt0.Kernel.stocks.(target) then incr expected_stalls;
+              let child = Ctx.create_on ctx ~target counter [] in
+              finished := (target, tag, child.Value.node) :: !finished );
+        ]
+      ()
+  in
+  (* Busy targets: creation requests sit unprocessed until the spin
+     ends, so every later creator for that target stalls before any
+     replenishing chunk comes back. *)
+  let busy =
+    Class_def.define ~name:"tc_busy"
+      ~methods:[ (p_inc, fun ctx _ -> Ctx.charge ctx 1_000_000) ]
+      ()
+  in
+  let rt_config = { System.default_rt_config with Kernel.stock_size = 1 } in
+  let s = System.boot ~rt_config ~nodes:3 ~classes:[ counter; waiter; busy ] () in
+  sys := Some s;
+  List.iter
+    (fun node -> System.send_boot s (System.create_root s ~node busy []) p_inc [])
+    [ 1; 2 ];
+  let per_target = 4 in
+  for tag = 1 to per_target do
+    List.iter
+      (fun target ->
+        let w = System.create_root s ~node:0 waiter [] in
+        System.send_boot s w p_make [ Value.int target; Value.int tag ])
+      [ 1; 2 ]
+  done;
+  System.run s;
+  let order target =
+    List.rev !finished
+    |> List.filter (fun (t, _, _) -> t = target)
+    |> List.map (fun (_, tag, _) -> tag)
+  in
+  Alcotest.(check (list int)) "target 1 waiters oldest first" [ 1; 2; 3; 4 ] (order 1);
+  Alcotest.(check (list int)) "target 2 waiters oldest first" [ 1; 2; 3; 4 ] (order 2);
+  List.iter
+    (fun (target, _, node) -> Alcotest.(check int) "created on its target" target node)
+    !finished;
+  Alcotest.(check bool) "both targets had several waiters at once" true
+    (peak.(1) >= 2 && peak.(2) >= 2);
+  Alcotest.(check int) "each stalled context stalled exactly once" !expected_stalls
+    (Simcore.Stats.get (System.stats s) "chunk.stall");
+  let d = Diagnostics.survey s in
+  Alcotest.(check int) "no chunk waiters at quiescence" 0 d.Diagnostics.chunk_waiters;
+  Alcotest.(check bool) "clean quiescence" true (Diagnostics.is_clean d)
 
 (* The Figure 4 race, driven at the protocol level: a message to a fresh
    chunk address reaches the target before the creation request. The
@@ -231,5 +299,7 @@ let () =
           Alcotest.test_case "stall and resume" `Quick
             test_chunk_stall_and_resume;
           Alcotest.test_case "figure 4 race" `Quick test_figure4_race;
+          Alcotest.test_case "waiters per target" `Quick
+            test_chunk_waiters_per_target;
         ] );
     ]

@@ -29,11 +29,12 @@ let test_inbox_ready_gating () =
   let n = Node.create ~id:0 in
   let am = { Am.handler = 0; src = 1; size_bytes = 0; payload = Am.Ping } in
   Node.inbox_push n ~arrival:500 am;
-  Alcotest.(check bool) "not ready before arrival" true
-    (Option.is_none (Node.inbox_pop_ready n));
+  Alcotest.(check bool) "not ready before arrival" false (Node.inbox_ready n);
   Node.charge_ns n 500;
-  Alcotest.(check bool) "ready at arrival" true
-    (Option.is_some (Node.inbox_pop_ready n))
+  Alcotest.(check bool) "ready at arrival" true (Node.inbox_ready n);
+  Alcotest.(check bool) "takes the message" true (Node.inbox_take n == am);
+  Alcotest.(check bool) "empty inbox not ready" false (Node.inbox_ready n);
+  Alcotest.(check int) "no next arrival" max_int (Node.inbox_next_arrival n)
 
 let test_dispatch_and_quiesce () =
   let m = Engine.create ~nodes:4 () in

@@ -16,7 +16,14 @@ let test_eq_ordering () =
   Alcotest.(check (option (pair int string))) "pop a" (Some (10, "a")) (EQ.pop q);
   Alcotest.(check (option (pair int string))) "pop b" (Some (20, "b")) (EQ.pop q);
   Alcotest.(check (option (pair int string))) "pop c" (Some (30, "c")) (EQ.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (EQ.pop q)
+  Alcotest.(check (option (pair int string))) "empty" None (EQ.pop q);
+  (* Float payloads: the value array must never turn into a flat float
+     array. *)
+  let qf = EQ.create () in
+  EQ.add qf ~time:2 2.5;
+  EQ.add qf ~time:1 1.5;
+  Alcotest.(check (float 0.)) "float payload" 1.5 (EQ.take qf);
+  Alcotest.(check (option (pair int (float 0.)))) "float pop" (Some (2, 2.5)) (EQ.pop qf)
 
 let test_eq_fifo_ties () =
   let q = EQ.create () in
@@ -264,6 +271,35 @@ let test_eq_no_retention () =
     "cleared entry collected" false
     (Weak.check cleared 0)
 
+(* The heap is flat int arrays plus one value array: once the arrays
+   have grown to the working depth, the hold model (take the earliest,
+   re-add it later) allocates nothing — measured against an empty span,
+   so the reading's own boxing cancels out. *)
+let test_eq_steady_state_no_alloc () =
+  let q = EQ.create () in
+  let v = "payload" in
+  for i = 0 to 63 do
+    EQ.add q ~time:(i * 37 mod 64) v
+  done;
+  let cycles n =
+    for i = 1 to n do
+      let t = EQ.min_time q in
+      ignore (EQ.take q : string);
+      EQ.add q ~time:(t + 1 + (i * 37 mod 64)) v
+    done
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  cycles 100;
+  let empty = words (fun () -> ()) in
+  let steady = words (fun () -> cycles 10_000) in
+  Alcotest.(check (float 0.)) "10k add+take cycles allocate 0 words" empty steady;
+  Alcotest.(check int) "depth kept" 64 (EQ.size q);
+  Alcotest.(check int) "empty min_time" max_int (EQ.min_time (EQ.create ()))
+
 let test_eq_tie_break () =
   let q = EQ.create () in
   List.iter (fun s -> EQ.add q ~time:5 s) [ "x"; "y"; "z" ];
@@ -347,6 +383,8 @@ let () =
           Alcotest.test_case "large sorted" `Quick test_eq_large_sorted;
           Alcotest.test_case "no retention" `Quick test_eq_no_retention;
           Alcotest.test_case "tie break hook" `Quick test_eq_tie_break;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_eq_steady_state_no_alloc;
         ] );
       ("clock", [ Alcotest.test_case "monotonic+busy" `Quick test_clock ]);
       ( "rng",
